@@ -32,3 +32,59 @@ val string_contents : string -> int * int -> (int * int) option
     verbatim into replies, so its ids render exactly as the slow path
     would render them. *)
 val canonical_scalar : string -> int * int -> bool
+
+(** {1 The analyze classifier}
+
+    One allocation-free pass deciding whether a line is an [analyze]
+    request the fast path may answer without building a JSON tree — the
+    single classifier shared by a worker's {!Serve.Server} fast path and
+    the router's front.  A line is {e eligible} when:
+    - no [jsonl.parse] fault is armed (so fault-draw sequences are the
+      same whether or not a cache is warm);
+    - it is inside the scanner's subset;
+    - its ["cmd"] (else its ["op"]) is ["analyze"] and it has no
+      ["p4lite"] member;
+    - ["nf"] is a string;
+    - ["workload"] is absent (["mixed"]) or one of ["mixed"], ["large"],
+      ["small"];
+    - ["id"] is absent (renders [null]) or a {!canonical_scalar};
+    - ["trace_id"] is absent (the server mints one) or a string.
+    ["tenant"] never affects eligibility; its span is reported when it
+    is a string.  Every eligible line means exactly what
+    {!Serve.Jsonl.of_string} would make of it: first occurrence wins for
+    duplicate members, as in {!member}. *)
+
+(** Caller-owned scratch that {!classify} fills in place. *)
+type analyze
+
+val analyze : unit -> analyze
+
+(** Classify [line] into the scratch; [true] iff eligible.  Allocates
+    nothing.  The accessors below are meaningful only after [true]. *)
+val classify : analyze -> string -> bool
+
+(** Contents span of the ["nf"] string (quotes dropped). *)
+val nf_off : analyze -> int
+
+val nf_len : analyze -> int
+
+(** ["mixed"], ["large"] or ["small"] (shared constants). *)
+val workload : analyze -> string
+
+(** Raw id token span; [id_len = 0] when the line has no id. *)
+val id_off : analyze -> int
+
+val id_len : analyze -> int
+
+(** Contents span of ["trace_id"]; [trace_off = -1] when absent. *)
+val trace_off : analyze -> int
+
+val trace_len : analyze -> int
+
+(** Contents span of a string ["tenant"]; [tenant_off = -1] otherwise. *)
+val tenant_off : analyze -> int
+
+val tenant_len : analyze -> int
+
+(** The flow-cache key ["nf|workload"] — one string allocation. *)
+val key : analyze -> string -> string

@@ -46,6 +46,12 @@ type t = {
   mutable stop_requested : bool;
   mutable drain_requested : bool;
   healthz_cache : string Atomic.t;
+  (* the flow cache: worker analyze replies, re-rendered per hit *)
+  mutable flows : Fastpath.Entry.t Fastpath.Shards.t;
+  mutable flows_version : string option;  (* the fleet version its entries belong to *)
+  mutable front_hit_count : int;
+  scan : Fastpath.Scan.analyze;  (* classifier scratch (rounds are single-caller) *)
+  hit_buf : Buffer.t;  (* front-hit render scratch *)
 }
 
 type route = {
@@ -78,6 +84,14 @@ let m_failovers =
 
 let m_workers_up = Obs.Metrics.gauge ~help:"Workers currently up" "clara_router_workers_up"
 
+let m_front_hits =
+  Obs.Metrics.counter ~help:"Analyze lines answered from the router's flow cache"
+    "clara_router_front_hits_total"
+
+(* The front cache has the worker's default geometry; no knob of its own. *)
+let front_capacity = 64
+let front_shards = 8
+
 (* -- construction -- *)
 
 let canaries_of t = match t.rollout with Idle -> [] | Canary c -> c.canaries
@@ -93,6 +107,39 @@ let rebuild_rings t =
   t.ring <- Chash.create ~vnodes:t.vnodes mains;
   t.canary_ring <- Chash.create ~vnodes:t.vnodes cans;
   Obs.Metrics.set_gauge m_workers_up (float_of_int (List.length live))
+
+(* -- the front flow cache --
+
+   Entries are renders of one bundle version.  The cache serves only while
+   no rollout is in progress and every up worker reports the same version
+   ([flows_version]); {!sync_flows} flushes it whenever that version
+   moves, and the rollout transitions flush it outright. *)
+
+let fleet_version t =
+  let v = ref None and agree = ref true in
+  Array.iter
+    (fun w ->
+      if w.w_up then
+        match !v with
+        | None -> v := Some w.w_version
+        | Some x -> if x <> w.w_version then agree := false)
+    t.workers;
+  if !agree then !v else None
+
+let flush_flows t =
+  if Fastpath.Shards.length t.flows > 0 then
+    t.flows <- Fastpath.Shards.create ~shards:front_shards ~capacity:front_capacity ();
+  t.flows_version <- None
+
+let sync_flows t =
+  let v = fleet_version t in
+  if v <> t.flows_version then begin
+    flush_flows t;
+    t.flows_version <- v
+  end
+
+let serving t =
+  match (t.rollout, t.flows_version) with Idle, Some _ -> true | Idle, None | Canary _, _ -> false
 
 let create ?(vnodes = 64) ?(tenant_quota = 0) ?(forward_timeout_s = 5.0)
     ?(health_period_s = 0.5) ?(canary_seed = 1) ?(max_clients = 64) ?active_bundle ~workers ()
@@ -123,9 +170,13 @@ let create ?(vnodes = 64) ?(tenant_quota = 0) ?(forward_timeout_s = 5.0)
       ring = Chash.create ~vnodes []; canary_ring = Chash.create ~vnodes [];
       rollout = Idle; served_count = 0; forwarded_count = 0; conn_shed_count = 0;
       unavailable_count = 0; canary_count = 0; failover_count = 0; trace_counter = 0;
-      stop_requested = false; drain_requested = false; healthz_cache = Atomic.make "{}" }
+      stop_requested = false; drain_requested = false; healthz_cache = Atomic.make "{}";
+      flows = Fastpath.Shards.create ~shards:front_shards ~capacity:front_capacity ();
+      flows_version = None; front_hit_count = 0; scan = Fastpath.Scan.analyze ();
+      hit_buf = Buffer.create 1024 }
   in
   rebuild_rings t;
+  sync_flows t;
   t
 
 let fresh_trace t =
@@ -272,6 +323,8 @@ let healthz_fields t =
     ("unavailable", Jsonl.Num (float_of_int t.unavailable_count));
     ("canaried", Jsonl.Num (float_of_int t.canary_count));
     ("failovers", Jsonl.Num (float_of_int t.failover_count));
+    ("front_hits", Jsonl.Num (float_of_int t.front_hit_count));
+    ("front_entries", Jsonl.Num (float_of_int (Fastpath.Shards.length t.flows)));
     ("tenant_quota", Jsonl.Num (float_of_int (Quota.limit t.quota)));
     ("rollout", rollout); ("workers", Jsonl.Arr workers) ]
 
@@ -300,6 +353,7 @@ let probe t =
         | Ok _ | Error _ -> ())
     t.workers;
   rebuild_rings t;
+  sync_flows t;
   refresh_healthz t
 
 (* -- placement -- *)
@@ -352,7 +406,20 @@ let make_route t ~key ~tenant =
   in
   { rt_worker = worker; rt_canary = canary; rt_key = key; rt_tenant = tenant }
 
-let target t line =
+(* Placement of a line the classifier accepted: the same "nf|workload"
+   key and tenant [forward_key] reads off the tree, straight from the
+   scanner's spans. *)
+let scan_tenant r line =
+  match Fastpath.Scan.tenant_off r with
+  | -1 -> "default"
+  | off -> String.sub line off (Fastpath.Scan.tenant_len r)
+
+let scan_target t line =
+  if Fastpath.Scan.classify t.scan line then
+    Some (make_route t ~key:(Fastpath.Scan.key t.scan line) ~tenant:(scan_tenant t.scan line))
+  else None
+
+let parsed_target t line =
   match Jsonl.of_string line with
   | Error _ ->
     let key, tenant = forward_key None line in
@@ -363,6 +430,9 @@ let target t line =
       let key, tenant = forward_key (Some req) line in
       Some (make_route t ~key ~tenant)
     end
+
+let target t line =
+  match scan_target t line with Some _ as r -> r | None -> parsed_target t line
 
 (* -- rollout control -- *)
 
@@ -418,6 +488,7 @@ let start_rollout t ~bundle ~fraction ?seed () =
                  (max 1 (n_live - 1)))
         in
         let chosen = List.filteri (fun i _ -> i < n_can) live in
+        flush_flows t;
         let rec reload_all done_ = function
           | [] -> Ok ()
           | w :: rest -> (
@@ -456,6 +527,7 @@ let promote t =
   match t.rollout with
   | Idle -> Error "no rollout in progress"
   | Canary { bundle; version; canaries; _ } ->
+    flush_flows t;
     let failed = ref [] in
     Array.iter
       (fun w ->
@@ -483,6 +555,7 @@ let rollback t =
     match t.active_bundle with
     | None -> Error "no active bundle recorded (router started without one); cannot rollback"
     | Some old ->
+      flush_flows t;
       let expect =
         match Persist.Bundle.peek_version ~dir:old with Ok v -> Some v | Error _ -> None
       in
@@ -581,46 +654,104 @@ let decide t line =
       let key, tenant = forward_key (Some req) line in
       Forward (make_route t ~key ~tenant))
 
-(* -- the batch path -- *)
+(* -- the batch path --
+
+   Every line goes through the shared classifier first.  An eligible line
+   whose key is installed is answered here (a front hit: quota-checked,
+   then spliced from the entry with the line's own id/trace tokens, the
+   way a worker's fast path answers it); an eligible miss is placed on
+   its "nf|workload" key without a JSON tree; only lines the classifier
+   rejects go through [decide]. *)
+
+(* Install a worker's reply to an eligible line: only an ["ok":true]
+   analyze reply, only from a worker on the cache's version, only while
+   the cache may serve. *)
+let install_reply t w ~key reply =
+  if serving t && t.flows_version = Some w.w_version then
+    match Jsonl.of_string reply with
+    | Ok j when Jsonl.member "ok" j = Some (Jsonl.Bool true) -> (
+      match
+        (Jsonl.str_member "nf" j, Jsonl.str_member "workload" j, Jsonl.str_member "report" j)
+      with
+      | Some nf, Some workload, Some report ->
+        Fastpath.Shards.install t.flows key (Fastpath.Entry.make ~nf ~workload ~report ())
+      | _ -> ())
+    | Ok _ | Error _ -> ()
+
+let front_hit t line entry =
+  let r = t.scan and b = t.hit_buf in
+  Buffer.clear b;
+  let id_off = Fastpath.Scan.id_off r and id_len = Fastpath.Scan.id_len r in
+  (match Fastpath.Scan.trace_off r with
+  | -1 ->
+    let trace = fresh_trace t in
+    Fastpath.Entry.render_into b entry ~id_src:line ~id_off ~id_len ~trace_src:trace
+      ~trace_off:0 ~trace_len:(String.length trace) ~cached:true ~path:"fast"
+  | trace_off ->
+    Fastpath.Entry.render_into b entry ~id_src:line ~id_off ~id_len ~trace_src:line ~trace_off
+      ~trace_len:(Fastpath.Scan.trace_len r) ~cached:true ~path:"fast");
+  t.front_hit_count <- t.front_hit_count + 1;
+  Obs.Metrics.inc m_front_hits;
+  Buffer.contents b
 
 let route_batch t lines =
   Quota.begin_round t.quota;
+  sync_flows t;
   let lines_a = Array.of_list lines in
   let n = Array.length lines_a in
   let replies = Array.make n "" in
-  (* worker name -> reversed [(index, line)] *)
-  let groups : (string, (int * string) list ref) Hashtbl.t = Hashtbl.create 8 in
+  (* worker name -> reversed [(index, line, install key)]; the key is ""
+     for lines the classifier rejected *)
+  let groups : (string, (int * string * string) list ref) Hashtbl.t = Hashtbl.create 8 in
   let membership_changed = ref false in
+  let forward i line ~key route =
+    match route with
+    | { rt_worker = None; _ } -> replies.(i) <- unavailable_reply t ~worker:"none" line
+    | { rt_worker = Some name; rt_canary; rt_tenant; _ } ->
+      if not (Quota.admit t.quota ~tenant:rt_tenant) then
+        replies.(i) <- quota_reply t ~tenant:rt_tenant line
+      else begin
+        if rt_canary then begin
+          t.canary_count <- t.canary_count + 1;
+          Obs.Metrics.inc m_canaried
+        end;
+        let g =
+          match Hashtbl.find_opt groups name with
+          | Some g -> g
+          | None ->
+            let g = ref [] in
+            Hashtbl.add groups name g;
+            g
+        in
+        g := (i, line, key) :: !g
+      end
+  in
   Array.iteri
     (fun i line ->
       t.served_count <- t.served_count + 1;
       Obs.Metrics.inc m_requests;
-      match decide t line with
-      | Local reply -> replies.(i) <- reply
-      | Forward { rt_worker = None; _ } -> replies.(i) <- unavailable_reply t ~worker:"none" line
-      | Forward { rt_worker = Some name; rt_canary; rt_tenant; _ } ->
-        if not (Quota.admit t.quota ~tenant:rt_tenant) then
-          replies.(i) <- quota_reply t ~tenant:rt_tenant line
-        else begin
-          if rt_canary then begin
-            t.canary_count <- t.canary_count + 1;
-            Obs.Metrics.inc m_canaried
-          end;
-          let g =
-            match Hashtbl.find_opt groups name with
-            | Some g -> g
-            | None ->
-              let g = ref [] in
-              Hashtbl.add groups name g;
-              g
-          in
-          g := (i, line) :: !g
-        end)
+      if Fastpath.Scan.classify t.scan line then begin
+        let key = Fastpath.Scan.key t.scan line in
+        match if serving t then Fastpath.Shards.probe t.flows key else None with
+        | Some entry ->
+          let tenant = scan_tenant t.scan line in
+          replies.(i) <-
+            (if Quota.admit t.quota ~tenant then front_hit t line entry
+             else quota_reply t ~tenant line)
+        | None ->
+          forward i line ~key (make_route t ~key ~tenant:(scan_tenant t.scan line))
+      end
+      else
+        match decide t line with
+        | Local reply -> replies.(i) <- reply
+        | Forward route -> forward i line ~key:"" route)
     lines_a;
   let fail_group w items why =
     mark_down t w ~why;
     membership_changed := true;
-    List.iter (fun (i, line) -> replies.(i) <- unavailable_reply t ~worker:w.w_name line) items
+    List.iter
+      (fun (i, line, _) -> replies.(i) <- unavailable_reply t ~worker:w.w_name line)
+      items
   in
   (* Phase 1: write every group; phase 2: read counted replies.  Writes
      all go first so the workers crunch their batches concurrently. *)
@@ -634,10 +765,9 @@ let route_batch t lines =
            match ensure_conn t w with
            | Error e ->
              fail_group w items e;
-             membership_changed := true;
              None
            | Ok fd -> (
-             match Upstream.send_lines fd (List.map snd items) with
+             match Upstream.send_lines fd (List.map (fun (_, line, _) -> line) items) with
              | Error e ->
                fail_group w items e;
                None
@@ -654,11 +784,19 @@ let route_batch t lines =
         w.w_forwarded <- w.w_forwarded + count;
         t.forwarded_count <- t.forwarded_count + count;
         Obs.Metrics.add m_forwarded count;
-        List.iter2 (fun (i, _) reply -> replies.(i) <- reply) items worker_replies
+        List.iter2
+          (fun (i, _, key) reply ->
+            replies.(i) <- reply;
+            if key <> "" then install_reply t w ~key reply)
+          items worker_replies
       | Error e -> fail_group w items e)
     pending;
-  if !membership_changed then rebuild_rings t;
-  refresh_healthz t;
+  (* The cached /healthz document is refreshed by probes and rollout
+     transitions; a round only refreshes it when membership changed. *)
+  if !membership_changed then begin
+    rebuild_rings t;
+    refresh_healthz t
+  end;
   Array.to_list replies
 
 (* -- counters -- *)
@@ -668,6 +806,8 @@ let forwarded t = t.forwarded_count
 let shed t = Quota.shed t.quota + t.conn_shed_count
 let unavailable t = t.unavailable_count
 let canaried t = t.canary_count
+let front_hits t = t.front_hit_count
+let front_entries t = Fastpath.Shards.length t.flows
 let failovers t = t.failover_count
 let request_drain t = t.drain_requested <- true
 let close t = Array.iter close_conn t.workers

@@ -6,6 +6,31 @@
     a router socket.  Per round ({!Fastpath.Evloop} level-triggered, as
     in the server):
 
+    - {b Classification.}  Every line first goes through the worker's own
+      allocation-free classifier ({!Fastpath.Scan.classify}).  Lines it
+      rejects (other commands, nested [p4lite] programs, escaped strings,
+      malformed text, an armed [jsonl.parse] fault) are parsed with
+      {!Serve.Jsonl} and placed as before; eligible [analyze] lines never
+      build a JSON tree here.
+    - {b Flow cache.}  The DOCA flow-installation model, with the router
+      as the switch and the workers as the control plane: the first
+      eligible line for a key misses and is forwarded; the worker's
+      ["ok":true] reply is parsed once and installed as a
+      {!Fastpath.Entry} in a front-side {!Fastpath.Shards} (64 entries, 8
+      shards — the worker's defaults, no knob of its own).  Later lines
+      for the key are answered in the router process, spliced with
+      {!Fastpath.Entry.render_into} exactly as a worker's fast path
+      answers them (["cached":true,"path":"fast"]), after passing the
+      tenant quota.  The cache installs and serves only while no rollout
+      is in progress and every up worker reports the same bundle version
+      (a front created without a probe presumes one version, as it
+      presumes workers up).  It is flushed by {!start_rollout},
+      {!promote} and {!rollback}, and whenever a round or {!probe} sees
+      that fleet version move.  Front hits do not reach a worker, so they
+      feed no worker flight ring, no worker [Quality] shadow sampling and
+      no worker [stats] hit count; they are counted in [front_hits] and
+      [clara_router_front_hits_total].  A cached key whose owner is down
+      is still answered, since its entry is of the fleet's version.
     - {b Placement.}  Each forwarded line is keyed — [analyze] requests
       by ["nf|workload"] (so a key's flow-cache entry warms exactly one
       worker), everything else by the raw line — and looked up on a
@@ -78,8 +103,19 @@ val create :
     raises: worker failures become typed replies. *)
 val route_batch : t -> string list -> string list
 
-(** Where would [line] go right now?  Pure: no I/O, no counters. *)
+(** Where would [line] go right now?  Pure: no I/O, no counters.  A
+    front hit would be answered by the router itself; [target] still
+    names the worker that owns its key. *)
 val target : t -> string -> route option
+
+(** The two halves of {!target}, for the route-equivalence property:
+    [scan_target] places only lines {!Fastpath.Scan.classify} accepts
+    ([None] otherwise) and builds no JSON tree; [parsed_target] always
+    parses with {!Serve.Jsonl}.  [target] is the first when it applies,
+    else the second. *)
+val scan_target : t -> string -> route option
+
+val parsed_target : t -> string -> route option
 
 (** One health sweep: refresh every worker's up/version/draining/pid and
     rebuild the rings.  Down workers are probed with one-shot connects —
@@ -105,7 +141,10 @@ val rollback : t -> (string list, string) result
 (** The aggregated health document: router ok/pid/counters, rollout
     state, and per-worker name/socket/up/draining/version/pid/forwarded —
     what [GET /healthz] serves when the router fronts an {!Serve.Http}
-    endpoint, rebuilt on every round/probe into {!healthz_cached}. *)
+    endpoint.  The [health] command renders it fresh; {!healthz_cached}
+    is re-rendered only by {!probe} (every [health_period_s] in {!run}),
+    by rollout transitions and by rounds that changed ring membership,
+    so its counters may lag by up to one probe period. *)
 val healthz_json : t -> string
 
 (** Last rendered {!healthz_json} (safe from another domain — what the
@@ -114,7 +153,7 @@ val healthz_cached : t -> string
 
 (** Counters: lines entering the router / forwarded to workers / shed
     (quota + connection) / answered unavailable / steered to canaries /
-    worker down-transitions. *)
+    worker down-transitions / answered from the front flow cache. *)
 val served : t -> int
 
 val forwarded : t -> int
@@ -122,6 +161,10 @@ val shed : t -> int
 val unavailable : t -> int
 val canaried : t -> int
 val failovers : t -> int
+val front_hits : t -> int
+
+(** Entries currently installed in the front flow cache. *)
+val front_entries : t -> int
 
 (** Ask {!run} to drain and return (what its SIGTERM handler calls). *)
 val request_drain : t -> unit

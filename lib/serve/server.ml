@@ -21,6 +21,7 @@ type t = {
   max_pending : int;  (* request lines admitted per batch before shedding *)
   max_clients : int;  (* accepted connections before connection-level shedding *)
   fast_buf : Buffer.t;  (* fast-path render scratch (process_batch is single-caller) *)
+  scan : Fastpath.Scan.analyze;  (* fast-path classifier scratch, same discipline *)
   flight : Obs.Flight.t;  (* always-on postmortem rings (capacity 0 disables) *)
   mutable served_count : int;
   mutable shed_count : int;
@@ -62,6 +63,7 @@ let create ?(cache_capacity = 64) ?(shards = 8) ?slow_threshold_s ?deadline_ms
     version;
     quality = Quality.create ?rate:shadow_rate ?seed:shadow_seed ~shards ();
     slow_s; deadline_s; max_pending; max_clients; fast_buf = Buffer.create 1024;
+    scan = Fastpath.Scan.analyze ();
     flight = Obs.Flight.create ~shards ?capacity:flight_capacity ?dir:flight_dir ();
     served_count = 0; shed_count = 0; stop_requested = false; drain_requested = false;
     flight_dump_requested = false }
@@ -381,123 +383,66 @@ let trace_reply ~trace id req =
 
 (* -- the fast path --
 
-   A repeat [analyze] query never builds a JSON tree: the raw line is
-   scanned in place (strict subset of the JSONL grammar — anything the
-   scanner rejects falls through to the full parser below), the flow
-   table is probed, and on a hit the pre-rendered reply bytes are spliced
-   together with the request's own id/trace tokens.  Guards keep the two
-   routes byte-compatible:
-
-   - an armed [jsonl.parse] fault forces the slow path, so fault-draw
-     sequences are identical whether or not the cache is warm;
-   - the id must be a canonical scalar (round-trips through parse/print
-     unchanged) so splicing it verbatim matches [Jsonl.to_string];
-   - the workload name must be one the server knows, the NF must be a
-     plain string, and [p4lite] requests always take the slow path;
-   - a probe miss counts nothing — the slow path's [Shards.find] counts
-     the miss — so each line still counts exactly one lookup outcome.
+   A repeat [analyze] query never builds a JSON tree: {!Fastpath.Scan.classify}
+   scans the raw line in place (anything it rejects falls through to the
+   full parser below), the flow table is probed, and on a hit the
+   pre-rendered reply bytes are spliced together with the request's own
+   id/trace tokens.  The classifier's eligibility rules keep the two
+   routes byte-compatible (fault guard, canonical ids, known workloads,
+   no [p4lite]); a router front uses the same classifier.  A probe miss
+   counts nothing — the slow path's [Shards.find] counts the miss — so
+   each line still counts exactly one lookup outcome.
 
    Cache hits never consulted the deadline before the split and still do
    not: a hit is answered from memory well inside any budget. *)
 let fast_track t ~now line =
-  if Obs.Fault.armed "jsonl.parse" then None
+  let r = t.scan in
+  if not (Fastpath.Scan.classify r line) then None
   else
-    let cmd =
-      match Fastpath.Scan.member line "cmd" with
-      | Some _ as c -> c
-      | None -> Fastpath.Scan.member line "op"
-    in
-    match cmd with
-    | Some cspan when Fastpath.Scan.span_is line cspan "\"analyze\"" -> (
-      match Fastpath.Scan.member line "p4lite" with
-      | Some _ -> None
-      | None -> (
-        match
-          Option.bind (Fastpath.Scan.member line "nf") (Fastpath.Scan.string_contents line)
-        with
-        | None -> None
-        | Some (nf_off, nf_len) -> (
-          let wname =
-            match Fastpath.Scan.member line "workload" with
-            | None -> Some "mixed"
-            | Some wspan -> (
-              match Fastpath.Scan.string_contents line wspan with
-              | None -> None
-              | Some (w_off, w_len) -> (
-                match String.sub line w_off w_len with
-                | ("mixed" | "large" | "small") as w -> Some w
-                | _ -> None))
-          in
-          match wname with
-          | None -> None
-          | Some wname -> (
-            let id_span =
-              match Fastpath.Scan.member line "id" with
-              | None -> Some (0, 0) (* absent: render null *)
-              | Some span ->
-                if Fastpath.Scan.canonical_scalar line span then Some span else None
-            in
-            match id_span with
-            | None -> None
-            | Some (id_off, id_len) -> (
-              let trace_span =
-                match Fastpath.Scan.member line "trace_id" with
-                | None -> Some `Fresh
-                | Some span -> (
-                  match Fastpath.Scan.string_contents line span with
-                  | Some (o, l) -> Some (`Span (o, l))
-                  | None -> None)
-              in
-              match trace_span with
-              | None -> None
-              | Some tr -> (
-                let key = String.sub line nf_off nf_len ^ "|" ^ wname in
-                match Fastpath.Shards.probe t.flows key with
-                | None -> None
-                | Some entry ->
-                  t.served_count <- t.served_count + 1;
-                  Obs.Metrics.inc m_requests;
-                  Obs.Metrics.inc m_cache_hits;
-                  let b = t.fast_buf in
-                  Buffer.clear b;
-                  (* The flight recorder's shard/trace come from what the
-                     scanner already holds; when recording is off neither
-                     costs anything beyond one atomic-backed check. *)
-                  let fl = Obs.Flight.enabled t.flight in
-                  let ftrace =
-                    match tr with
-                    | `Span (t_off, t_len) ->
-                      Fastpath.Entry.render_into b entry ~id_src:line ~id_off ~id_len
-                        ~trace_src:line ~trace_off:t_off ~trace_len:t_len ~cached:true
-                        ~path:"fast";
-                      if fl then String.sub line t_off t_len else ""
-                    | `Fresh ->
-                      let trace = fresh_trace () in
-                      Fastpath.Entry.render_into b entry ~id_src:line ~id_off ~id_len
-                        ~trace_src:trace ~trace_off:0 ~trace_len:(String.length trace)
-                        ~cached:true ~path:"fast";
-                      trace
-                  in
-                  (* Quality telemetry costs one float compare when
-                     disabled, keeping the rate-0 fast path inside its
-                     bench envelope. *)
-                  if Quality.enabled t.quality then begin
-                    Quality.record_fast_latency t.quality
-                      ~shard:(Fastpath.Shards.shard_of_key t.flows key)
-                      ~nf:(Fastpath.Entry.nf entry)
-                      (Obs.Clock.now_s () -. now);
-                    let id =
-                      if id_len = 0 then "null" else String.sub line id_off id_len
-                    in
-                    maybe_shadow t ~id ~key entry
-                  end;
-                  Some
-                    (Fast
-                       { reply = Buffer.contents b;
-                         shard =
-                           (if fl then Fastpath.Shards.shard_of_key t.flows key else -1);
-                         trace = ftrace })))))))
-    | Some _ | None -> None
+    let key = Fastpath.Scan.key r line in
+    match Fastpath.Shards.probe t.flows key with
+    | None -> None
+    | Some entry ->
+      t.served_count <- t.served_count + 1;
+      Obs.Metrics.inc m_requests;
+      Obs.Metrics.inc m_cache_hits;
+      let b = t.fast_buf in
+      Buffer.clear b;
+      let id_off = Fastpath.Scan.id_off r and id_len = Fastpath.Scan.id_len r in
+      (* The flight recorder's shard/trace come from what the scanner
+         already holds; when recording is off neither costs anything
+         beyond one atomic-backed check. *)
+      let fl = Obs.Flight.enabled t.flight in
+      let ftrace =
+        let t_off = Fastpath.Scan.trace_off r in
+        if t_off >= 0 then begin
+          let t_len = Fastpath.Scan.trace_len r in
+          Fastpath.Entry.render_into b entry ~id_src:line ~id_off ~id_len ~trace_src:line
+            ~trace_off:t_off ~trace_len:t_len ~cached:true ~path:"fast";
+          if fl then String.sub line t_off t_len else ""
+        end
+        else begin
+          let trace = fresh_trace () in
+          Fastpath.Entry.render_into b entry ~id_src:line ~id_off ~id_len ~trace_src:trace
+            ~trace_off:0 ~trace_len:(String.length trace) ~cached:true ~path:"fast";
+          trace
+        end
+      in
+      (* Quality telemetry costs one float compare when disabled, keeping
+         the rate-0 fast path inside its bench envelope. *)
+      if Quality.enabled t.quality then begin
+        Quality.record_fast_latency t.quality
+          ~shard:(Fastpath.Shards.shard_of_key t.flows key)
+          ~nf:(Fastpath.Entry.nf entry)
+          (Obs.Clock.now_s () -. now);
+        let id = if id_len = 0 then "null" else String.sub line id_off id_len in
+        maybe_shadow t ~id ~key entry
+      end;
+      Some
+        (Fast
+           { reply = Buffer.contents b;
+             shard = (if fl then Fastpath.Shards.shard_of_key t.flows key else -1);
+             trace = ftrace })
 
 (* -- hot reload --
 

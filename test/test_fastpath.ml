@@ -177,6 +177,63 @@ let test_canonical_scalar () =
     [ "1.5" (* prints as 1.5 but rounds through float *); "007" (* leading zeros *);
       "1e3" (* scientific *); {|"a\"b"|} (* escape *); "1000000000000000" (* 16 digits *) ]
 
+let test_classify () =
+  let r = Fastpath.Scan.analyze () in
+  let sub line off len = String.sub line off len in
+  let line =
+    {|{"id":"q-1","op":"analyze","nf":"tcpack","workload":"small","tenant":"acme","trace_id":"k9"}|}
+  in
+  Alcotest.(check bool) "eligible" true (Fastpath.Scan.classify r line);
+  Alcotest.(check string) "nf" "tcpack" (sub line (Fastpath.Scan.nf_off r) (Fastpath.Scan.nf_len r));
+  Alcotest.(check string) "workload" "small" (Fastpath.Scan.workload r);
+  Alcotest.(check string) "id token" {|"q-1"|}
+    (sub line (Fastpath.Scan.id_off r) (Fastpath.Scan.id_len r));
+  Alcotest.(check string) "trace" "k9"
+    (sub line (Fastpath.Scan.trace_off r) (Fastpath.Scan.trace_len r));
+  Alcotest.(check string) "tenant" "acme"
+    (sub line (Fastpath.Scan.tenant_off r) (Fastpath.Scan.tenant_len r));
+  Alcotest.(check string) "key" "tcpack|small" (Fastpath.Scan.key r line);
+  (* defaults: no id, trace, tenant or workload *)
+  let bare = {|{"cmd":"analyze","nf":"cmsketch","tenant":7}|} in
+  Alcotest.(check bool) "bare line eligible" true (Fastpath.Scan.classify r bare);
+  Alcotest.(check int) "absent id" 0 (Fastpath.Scan.id_len r);
+  Alcotest.(check int) "absent trace" (-1) (Fastpath.Scan.trace_off r);
+  Alcotest.(check int) "non-string tenant" (-1) (Fastpath.Scan.tenant_off r);
+  Alcotest.(check string) "default workload key" "cmsketch|mixed" (Fastpath.Scan.key r bare);
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (line ^ " is not eligible") false (Fastpath.Scan.classify r line))
+    [ {|{"cmd":"ping","nf":"tcpack"}|};
+      {|{"cmd":"analyze","nf":"tcpack","p4lite":1}|};
+      {|{"cmd":"analyze","nf":3}|};
+      {|{"cmd":"analyze"}|};
+      {|{"cmd":"analyze","nf":"tcpack","workload":"huge"}|};
+      {|{"cmd":"analyze","nf":"tcpack","workload":1}|};
+      {|{"cmd":"analyze","nf":"tcpack","id":1.5}|};
+      {|{"cmd":"analyze","nf":"tcpack","trace_id":4}|};
+      {|{"cmd":"analyze","nf":"tc\\pack"}|};
+      {|{"cmd":1,"op":"analyze","nf":"tcpack"}|};
+      {|{"cmd":"analyze","nf":"tcpack"|} ];
+  (* an armed jsonl.parse fault sends every line to the full parser *)
+  Obs.Fault.set ~point:"jsonl.parse" ~prob:0.0 ~seed:1;
+  let faulted = Fastpath.Scan.classify r line in
+  Obs.Fault.remove "jsonl.parse";
+  Alcotest.(check bool) "fault guard" false faulted
+
+let test_classify_allocates_nothing () =
+  let r = Fastpath.Scan.analyze () in
+  let line = {|{"id":7,"cmd":"analyze","nf":"tcpack","workload":"mixed","trace_id":"t-9","tenant":"a"}|} in
+  ignore (Fastpath.Scan.classify r line);
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Fastpath.Scan.classify r line))
+  done;
+  let words = Gc.minor_words () -. before in
+  (* only the boxed float [Gc.minor_words] itself returns *)
+  if words > 16.0 then
+    Alcotest.failf "classify allocated %.0f minor words over %d calls" words n
+
 (* -- Entry: pre-rendered bytes match Jsonl rendering -- *)
 
 let test_entry_matches_jsonl () =
@@ -423,7 +480,10 @@ let () =
       ( "scan",
         [ Alcotest.test_case "member spans" `Quick test_scanner_members;
           Alcotest.test_case "subset rejections" `Quick test_scanner_rejects_outside_subset;
-          Alcotest.test_case "canonical scalars" `Quick test_canonical_scalar ] );
+          Alcotest.test_case "canonical scalars" `Quick test_canonical_scalar;
+          Alcotest.test_case "analyze classifier" `Quick test_classify;
+          Alcotest.test_case "classifier allocates nothing" `Quick
+            test_classify_allocates_nothing ] );
       ( "entry",
         [ Alcotest.test_case "pre-rendered bytes match Jsonl" `Quick test_entry_matches_jsonl ] );
       ( "compiled",

@@ -264,7 +264,7 @@ let watched_router_counters () =
     (fun name -> (name, Obs.Metrics.counter name))
     [ "clara_router_requests_total"; "clara_router_forwarded_total";
       "clara_router_quota_shed_total"; "clara_router_unavailable_total";
-      "clara_router_failovers_total" ]
+      "clara_router_failovers_total"; "clara_router_front_hits_total" ]
 
 (* Kill (hard or soft, alternating) one worker at a time, reap it, and
    respawn it on the same name and socket — a rolling restart under
