@@ -1,4 +1,4 @@
-(** Level-triggered event loop (see evloop.mli). *)
+(** The serving socket driver (see evloop.mli). *)
 
 (* Per-connection state machine:
 
@@ -22,27 +22,30 @@ type conn = {
   mutable dead : bool;
 }
 
-type callbacks = {
-  on_reject : Unix.file_descr -> unit;
+type service = {
+  name : string;
+  max_clients : int;
+  batch : string list -> string list;
+  reject : unit -> string;
   on_disconnect : fn:string -> Unix.error -> unit;
   on_error : ctx:string -> fn:string -> Unix.error -> unit;
+  on_listen : unit -> unit;
+  before_poll : unit -> unit;
+  request_drain : unit -> unit;
+  phase : unit -> [ `Serve | `Drain | `Stop ];
 }
 
 type t = {
   listener : Unix.file_descr;
-  max_clients : int;
-  cb : callbacks;
+  svc : service;
   mutable conns : conn list;  (** accept order, newest last *)
   mutable n_conns : int;
   mutable accepting : bool;
   chunk : Bytes.t;
 }
 
-let create ~listener ~max_clients cb =
-  { listener; max_clients; cb; conns = []; n_conns = 0; accepting = true; chunk = Bytes.create 65536 }
-
-let clients t = t.n_conns
-let stop_accepting t = t.accepting <- false
+let create ~listener svc =
+  { listener; svc; conns = []; n_conns = 0; accepting = true; chunk = Bytes.create 65536 }
 
 let drop t c =
   if not c.dead then begin
@@ -62,6 +65,10 @@ let pending c = c.woff < String.length c.wpend || Buffer.length c.wbuf > 0
 
 let has_pending t = List.exists pending t.conns
 
+let fire_write_fault () =
+  if Obs.Fault.fire "serve.write" then
+    raise (Unix.Unix_error (Unix.EPIPE, "write", "injected fault: serve.write"))
+
 (* Drain the connection's whole write queue in one go: a round's replies
    are coalesced into as few [write] calls as the kernel allows, and the
    fds stay blocking so no reply is ever stranded in user space at
@@ -71,8 +78,7 @@ let has_pending t = List.exists pending t.conns
 let flush_conn t c =
   if (not c.dead) && pending c then begin
     try
-      if Obs.Fault.fire "serve.write" then
-        raise (Unix.Unix_error (Unix.EPIPE, "write", "injected fault: serve.write"));
+      fire_write_fault ();
       let continue = ref true in
       while !continue do
         if c.woff >= String.length c.wpend then
@@ -90,10 +96,10 @@ let flush_conn t c =
       if c.closing then drop t c
     with
     | Unix.Unix_error (((Unix.EPIPE | Unix.ECONNRESET) as err), _, _) ->
-      t.cb.on_disconnect ~fn:"write" err;
+      t.svc.on_disconnect ~fn:"write" err;
       drop t c
     | Unix.Unix_error (err, _, _) ->
-      t.cb.on_error ~ctx:"serve.write_error" ~fn:"write" err;
+      t.svc.on_error ~ctx:"serve.write_error" ~fn:"write" err;
       drop t c
   end
 
@@ -110,12 +116,25 @@ let take_lines c =
     Buffer.add_substring c.rbuf data (i + 1) (String.length data - i - 1);
     List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' (String.sub data 0 i))
 
+(* Connection-level shedding: tell the client it is the load, not the
+   request, then hang up. *)
+let reject t fd =
+  let line = t.svc.reject () ^ "\n" in
+  (try
+     fire_write_fault ();
+     let n = String.length line and sent = ref 0 in
+     while !sent < n do
+       sent := !sent + Unix.write_substring fd line !sent (n - !sent)
+     done
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let accept_one t =
   try
     if Obs.Fault.fire "serve.accept" then
       raise (Unix.Unix_error (Unix.EMFILE, "accept", "injected fault: serve.accept"));
     let fd, _ = Unix.accept t.listener in
-    if t.n_conns >= t.max_clients then t.cb.on_reject fd
+    if t.n_conns >= t.svc.max_clients then reject t fd
     else begin
       let c =
         { fd; rbuf = Buffer.create 256; wbuf = Buffer.create 256; wpend = ""; woff = 0;
@@ -126,7 +145,7 @@ let accept_one t =
     end
   with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | Unix.Unix_error (err, _, _) -> t.cb.on_error ~ctx:"serve.accept_error" ~fn:"accept" err
+  | Unix.Unix_error (err, _, _) -> t.svc.on_error ~ctx:"serve.accept_error" ~fn:"accept" err
 
 let read_conn t c acc =
   try
@@ -153,11 +172,11 @@ let read_conn t c acc =
   with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> acc
   | Unix.Unix_error (((Unix.ECONNRESET | Unix.EPIPE) as err), _, _) ->
-    t.cb.on_disconnect ~fn:"read" err;
+    t.svc.on_disconnect ~fn:"read" err;
     drop t c;
     acc
   | Unix.Unix_error (err, _, _) ->
-    t.cb.on_error ~ctx:"serve.read_error" ~fn:"read" err;
+    t.svc.on_error ~ctx:"serve.read_error" ~fn:"read" err;
     drop t c;
     acc
 
@@ -182,3 +201,81 @@ let poll t ~timeout_s =
         [] t.conns
     in
     `Round (List.rev batches)
+
+(* Answer every complete line of a round as one batch, then hand each
+   connection its own replies, in order, coalesced into one flush. *)
+let service_round t batches =
+  let all_lines = List.concat_map snd batches in
+  if all_lines <> [] then begin
+    let replies = ref (t.svc.batch all_lines) in
+    List.iter
+      (fun (conn, lines) ->
+        List.iter
+          (fun _ ->
+            match !replies with
+            | reply :: rest ->
+              replies := rest;
+              send conn reply
+            | [] -> ())
+          lines)
+      batches;
+    flush t
+  end
+
+(* [None] where the platform has no such signal *)
+let set_signal signal behavior =
+  try Some (Sys.signal signal behavior) with Invalid_argument _ | Sys_error _ -> None
+
+let serve ~socket_path svc =
+  ignore (set_signal Sys.sigpipe Sys.Signal_ignore);
+  (* The previous SIGTERM handler is restored on the way out so tests can
+     run several servers in one process. *)
+  let old_sigterm = set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> svc.request_drain ())) in
+  Fun.protect ~finally:(fun () -> Option.iter (fun h -> ignore (set_signal Sys.sigterm h)) old_sigterm)
+  @@ fun () ->
+  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket_path);
+  Unix.listen listener 16;
+  let listening = ref true in
+  let close_listener () =
+    if !listening then begin
+      listening := false;
+      (try Unix.close listener with Unix.Unix_error _ -> ());
+      try Unix.unlink socket_path with Unix.Unix_error _ -> ()
+    end
+  in
+  let t = create ~listener svc in
+  Fun.protect ~finally:(fun () ->
+      close_all t;
+      close_listener ())
+  @@ fun () ->
+  svc.on_listen ();
+  while svc.phase () = `Serve do
+    svc.before_poll ();
+    match poll t ~timeout_s:0.25 with
+    (* EINTR: a signal interrupted the wait; re-check the phase it may
+       have moved. *)
+    | `Eintr -> ()
+    | `Round batches -> service_round t batches
+  done;
+  (* Graceful drain: the listener goes first, so new connections fail fast
+     while buffered requests still get real answers.  In-flight clients
+     get a short grace window; an idle 50ms round means nothing more is
+     coming and the drain completes early. *)
+  if svc.phase () = `Drain then begin
+    Obs.Log.info ~fields:[ ("clients", Obs.Log.Int t.n_conns) ] (svc.name ^ ".drain");
+    t.accepting <- false;
+    close_listener ();
+    let drain_until = Obs.Clock.now_s () +. 0.5 in
+    let quiescent = ref false in
+    while
+      (not !quiescent) && svc.phase () = `Drain && t.n_conns > 0
+      && Obs.Clock.now_s () < drain_until
+    do
+      match poll t ~timeout_s:0.05 with
+      | `Eintr -> ()
+      | `Round [] -> if not (has_pending t) then quiescent := true
+      | `Round batches -> service_round t batches
+    done
+  end

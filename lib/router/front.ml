@@ -812,54 +812,28 @@ let failovers t = t.failover_count
 let request_drain t = t.drain_requested <- true
 let close t = Array.iter close_conn t.workers
 
-(* -- the event loop (same shape as Serve.Server.run) -- *)
-
-let really_write fd s =
-  let n = String.length s in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-  done
+(* -- the socket service -- *)
 
 let run t ~socket_path =
-  (if Sys.os_type = "Unix" then
-     try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let old_sigterm =
-    if Sys.os_type = "Unix" then
-      try Some (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_drain t)))
-      with Invalid_argument _ | Sys_error _ -> None
-    else None
+  (* due at once: the sweep before [router.start] is the first probe *)
+  let next_health = ref 0.0 in
+  let maybe_probe () =
+    let now = Obs.Clock.now_s () in
+    if now >= !next_health then begin
+      probe t;
+      next_health := Obs.Clock.now_s () +. t.health_period_s
+    end
   in
-  Fun.protect ~finally:(fun () ->
-      match old_sigterm with
-      | Some h -> ( try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ())
-      | None -> ())
-  @@ fun () ->
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listener (Unix.ADDR_UNIX socket_path);
-  Unix.listen listener 16;
-  probe t;
-  Obs.Log.info
-    ~fields:
-      [ ("socket", Obs.Log.Str socket_path);
-        ("workers", Obs.Log.Int (Array.length t.workers));
-        ("vnodes", Obs.Log.Int t.vnodes);
-        ("tenant_quota", Obs.Log.Int (Quota.limit t.quota));
-        ("health_period_s", Obs.Log.Num t.health_period_s);
-        ("max_clients", Obs.Log.Int t.max_clients) ]
-    "router.start";
-  let callbacks =
-    { Fastpath.Evloop.on_reject =
-        (fun fd ->
+  Fastpath.Evloop.serve ~socket_path
+    { name = "router";
+      max_clients = t.max_clients;
+      batch = route_batch t;
+      reject =
+        (fun () ->
           t.conn_shed_count <- t.conn_shed_count + 1;
-          let reply =
-            err_reply ~trace:(fresh_trace t) Jsonl.Null
-              (Printf.sprintf "overloaded: router at its %d-connection limit" t.max_clients)
-              ~extra:[ ("overloaded", Jsonl.Bool true) ]
-          in
-          (try really_write fd (reply ^ "\n") with Unix.Unix_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ()));
+          err_reply ~trace:(fresh_trace t) Jsonl.Null
+            (Printf.sprintf "overloaded: router at its %d-connection limit" t.max_clients)
+            ~extra:[ ("overloaded", Jsonl.Bool true) ]);
       on_disconnect =
         (fun ~fn err ->
           Obs.Log.info
@@ -871,66 +845,24 @@ let run t ~socket_path =
           Obs.Log.warn
             ~fields:
               [ ("fn", Obs.Log.Str fn); ("error", Obs.Log.Str (Unix.error_message err)) ]
-            ctx)
-    }
-  in
-  let loop = Fastpath.Evloop.create ~listener ~max_clients:t.max_clients callbacks in
-  let service_round batches =
-    let all_lines = List.concat_map snd batches in
-    if all_lines <> [] then begin
-      let replies = ref (route_batch t all_lines) in
-      List.iter
-        (fun (conn, lines) ->
-          List.iter
-            (fun _ ->
-              match !replies with
-              | reply :: rest ->
-                replies := rest;
-                Fastpath.Evloop.send conn reply
-              | [] -> ())
-            lines)
-        batches;
-      Fastpath.Evloop.flush loop
-    end
-  in
-  let next_health = ref (Obs.Clock.now_s () +. t.health_period_s) in
-  let maybe_probe () =
-    let now = Obs.Clock.now_s () in
-    if now >= !next_health then begin
-      probe t;
-      next_health := Obs.Clock.now_s () +. t.health_period_s
-    end
-  in
-  while not (t.stop_requested || t.drain_requested) do
-    maybe_probe ();
-    match Fastpath.Evloop.poll loop ~timeout_s:0.25 with
-    | `Eintr -> ()
-    | `Round batches -> service_round batches
-  done;
-  if t.drain_requested && not t.stop_requested then begin
-    Obs.Log.info
-      ~fields:[ ("clients", Obs.Log.Int (Fastpath.Evloop.clients loop)) ]
-      "router.drain";
-    Fastpath.Evloop.stop_accepting loop;
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-    let drain_until = Obs.Clock.now_s () +. 0.5 in
-    let quiescent = ref false in
-    while
-      (not !quiescent)
-      && (not t.stop_requested)
-      && Fastpath.Evloop.clients loop > 0
-      && Obs.Clock.now_s () < drain_until
-    do
-      match Fastpath.Evloop.poll loop ~timeout_s:0.05 with
-      | `Eintr -> ()
-      | `Round [] -> if not (Fastpath.Evloop.has_pending loop) then quiescent := true
-      | `Round batches -> service_round batches
-    done
-  end;
-  Fastpath.Evloop.close_all loop;
-  (try Unix.close listener with Unix.Unix_error _ -> ());
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+            ctx);
+      on_listen =
+        (fun () ->
+          maybe_probe ();
+          Obs.Log.info
+            ~fields:
+              [ ("socket", Obs.Log.Str socket_path);
+                ("workers", Obs.Log.Int (Array.length t.workers));
+                ("vnodes", Obs.Log.Int t.vnodes);
+                ("tenant_quota", Obs.Log.Int (Quota.limit t.quota));
+                ("health_period_s", Obs.Log.Num t.health_period_s);
+                ("max_clients", Obs.Log.Int t.max_clients) ]
+            "router.start");
+      before_poll = maybe_probe;
+      request_drain = (fun () -> request_drain t);
+      phase =
+        (fun () ->
+          if t.stop_requested then `Stop else if t.drain_requested then `Drain else `Serve) };
   close t;
   Obs.Log.info
     ~fields:

@@ -3,8 +3,8 @@
 
     Speaks the same line-delimited JSON protocol as a single server, on
     the same kind of Unix socket — [clara query] works unchanged against
-    a router socket.  Per round ({!Fastpath.Evloop} level-triggered, as
-    in the server):
+    a router socket.  Per round of {!Fastpath.Evloop.serve}, the socket
+    driver the worker's server runs on too:
 
     - {b Classification.}  Every line first goes through the worker's own
       allocation-free classifier ({!Fastpath.Scan.classify}).  Lines it
@@ -175,8 +175,10 @@ val request_drain : t -> unit
 val close : t -> unit
 
 (** Bind [socket_path] and serve until [shutdown] or a drain is
-    requested (SIGTERM / {!request_drain}).  Same event-loop shape as
-    {!Serve.Server.run}: batched rounds, coalesced writes, graceful
-    drain window; plus a health sweep every [health_period_s].  Worker
-    connections are closed on the way out. *)
+    requested (SIGTERM / {!request_drain}), on the driver
+    {!Serve.Server.run} uses ({!Fastpath.Evloop.serve}: batched rounds,
+    coalesced writes, connection-limit rejects, graceful drain window),
+    with {!route_batch} per round and a health sweep every
+    [health_period_s] between rounds.  Worker connections are closed on
+    the way out. *)
 val run : t -> socket_path:string -> unit

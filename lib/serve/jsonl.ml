@@ -86,8 +86,10 @@ let utf8_encode b code =
     Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+let injected_fault = "injected fault: jsonl.parse"
+
 let of_string s =
-  if Obs.Fault.fire "jsonl.parse" then Error "injected fault: jsonl.parse"
+  if Obs.Fault.fire "jsonl.parse" then Error injected_fault
   else
   let n = String.length s in
   let pos = ref 0 in

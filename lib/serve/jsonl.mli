@@ -18,8 +18,11 @@ val to_string : t -> string
 
 (** Parse a complete JSON document (trailing whitespace allowed).  Never
     raises: every malformed input (and every armed [jsonl.parse]
-    {!Obs.Fault} draw) is an [Error]. *)
+    {!Obs.Fault} draw) is an [Error]; a fault draw's message is
+    {!injected_fault}. *)
 val of_string : string -> (t, string) result
+
+val injected_fault : string
 
 (** Object field lookup ([None] on non-objects and missing keys). *)
 val member : string -> t -> t option

@@ -282,13 +282,28 @@ let analyze_reply ~trace id ~cached ~path entry =
 
 (* -- request planning -- *)
 
+(* How a reply ended, for the flight recorder and the SLO tracker.
+   [`Deadline] and [`Overloaded] are the machine-actionable flags the
+   reply itself carries; [`Fault] marks an error an injected fault
+   produced (an environmental outcome replay cannot and should not
+   reproduce). *)
+type outcome = [ `Ok | `Error | `Fault | `Deadline | `Overloaded ]
+
+let outcome_name = function
+  | `Ok -> "ok"
+  | `Error -> "error"
+  | `Fault -> "fault"
+  | `Deadline -> "deadline"
+  | `Overloaded -> "overloaded"
+
 (* A parsed request line: answered by the fast path, already answerable,
-   a cache hit, or an analysis to fan out.  [Fast] keeps the shard/trace
-   the scanner already had in hand so the flight recorder never re-scans
-   a fast-path reply (both fields are empty-ish when recording is off). *)
+   a cache hit, or an analysis to fan out.  Every plan knows its trace id
+   and, once answered, its outcome, so the flight recorder never re-reads
+   a rendered reply.  [Fast] keeps the shard/trace the scanner already
+   had in hand (both are empty-ish when recording is off). *)
 type plan =
   | Fast of { reply : string; shard : int; trace : string }
-  | Ready of string
+  | Ready of { reply : string; trace : string; outcome : outcome }
   | Hit of { id : Jsonl.t; trace : string; key : string; entry : Fastpath.Entry.t }
   | Miss of {
       id : Jsonl.t;
@@ -300,6 +315,12 @@ type plan =
       wname : string;
       deadline : float option;  (* absolute Clock seconds; None = no budget *)
     }
+
+let ready_ok ~trace id fields = Ready { reply = ok_reply ~trace id fields; trace; outcome = `Ok }
+
+let ready_err ?valid ?(fault = false) ~trace id msg =
+  Ready
+    { reply = err_reply ?valid ~trace id msg; trace; outcome = (if fault then `Fault else `Error) }
 
 let plan_trace = function
   | Fast _ | Ready _ -> None
@@ -326,7 +347,7 @@ let plan_analyze t ~now ~trace id req =
   let deadline = deadline_of t ~now req in
   let wname = Option.value (Jsonl.str_member "workload" req) ~default:"mixed" in
   match workload_named wname with
-  | Error msg -> Ready (err_reply ~trace id msg)
+  | Error msg -> ready_err ~trace id msg
   | Ok spec -> (
     let target =
       match (Jsonl.str_member "nf" req, Jsonl.member "p4lite" req) with
@@ -335,7 +356,7 @@ let plan_analyze t ~now ~trace id req =
         | elt -> Ok (elt, name, name ^ "|" ^ wname)
         | exception Failure _ ->
           Error
-            (err_reply ~valid:(corpus_names ()) ~trace id (Printf.sprintf "unknown NF %S" name)))
+            (ready_err ~valid:(corpus_names ()) ~trace id (Printf.sprintf "unknown NF %S" name)))
       | None, Some pj -> (
         match program_of_json pj with
         | prog ->
@@ -346,11 +367,11 @@ let plan_analyze t ~now ~trace id req =
               wname
           in
           Ok (elt, elt.Nf_lang.Ast.name, key)
-        | exception Bad_program msg -> Error (err_reply ~trace id ("bad p4lite program: " ^ msg)))
-      | None, None -> Error (err_reply ~trace id "analyze wants \"nf\" or \"p4lite\"")
+        | exception Bad_program msg -> Error (ready_err ~trace id ("bad p4lite program: " ^ msg)))
+      | None, None -> Error (ready_err ~trace id "analyze wants \"nf\" or \"p4lite\"")
     in
     match target with
-    | Error reply -> Ready reply
+    | Error plan -> plan
     | Ok (elt, nf_label, key) -> (
       match Fastpath.Shards.find t.flows key with
       | Some entry ->
@@ -374,9 +395,9 @@ let rec tree_json (node : Obs.Span.tree) =
 
 let trace_reply ~trace id req =
   match Jsonl.str_member "trace_id" req with
-  | None -> err_reply ~trace id "trace wants \"trace_id\""
+  | None -> ready_err ~trace id "trace wants \"trace_id\""
   | Some wanted ->
-    ok_reply ~trace id
+    ready_ok ~trace id
       [ ("queried", Jsonl.Str wanted);
         ("tracing", Jsonl.Bool (Obs.Span.enabled ()));
         ("spans", Jsonl.Arr (List.map tree_json (Obs.Span.forest ~trace:wanted ()))) ]
@@ -466,8 +487,9 @@ let m_reload_failures =
 
 let reload_reply t ~trace id req =
   match Jsonl.str_member "bundle" req with
-  | None -> err_reply ~trace id "reload wants \"bundle\" (a model-bundle directory)"
+  | None -> ready_err ~trace id "reload wants \"bundle\" (a model-bundle directory)"
   | Some dir -> (
+    let faults_before = Obs.Fault.fired "persist.read" in
     match Persist.Bundle.load_salvage ~dir with
     | Error e ->
       Obs.Metrics.inc m_reload_failures;
@@ -477,7 +499,8 @@ let reload_reply t ~trace id req =
             ("error", Obs.Log.Str (Persist.Wire.error_to_string e));
             ("version", Obs.Log.Str t.version) ]
         "serve.reload_failed";
-      err_reply ~trace id
+      ready_err ~trace id
+        ~fault:(Obs.Fault.fired "persist.read" > faults_before)
         (Printf.sprintf "reload failed, still serving version %s: %s" t.version
            (Persist.Wire.error_to_string e))
     | Ok (b, dropped) -> (
@@ -485,7 +508,7 @@ let reload_reply t ~trace id req =
       match Jsonl.str_member "expect" req with
       | Some want when want <> next ->
         Obs.Metrics.inc m_reload_failures;
-        err_reply ~trace id
+        ready_err ~trace id
           (Printf.sprintf
              "reload version mismatch: bundle %s is version %s, caller expected %s (still \
               serving %s)"
@@ -509,7 +532,7 @@ let reload_reply t ~trace id req =
               ("previous", Obs.Log.Str previous);
               ("dropped_components", Obs.Log.Int (List.length dropped)) ]
           "serve.reloaded";
-        ok_reply ~trace id
+        ready_ok ~trace id
           [ ("reloaded", Jsonl.Bool true);
             ("version", Jsonl.Str next);
             ("previous", Jsonl.Str previous);
@@ -529,7 +552,7 @@ let plan_line_slow t ~now line =
       | Some (Jsonl.Str s) -> s
       | Some _ | None -> fresh_trace ()
     in
-    Ready (err_reply ~trace id ("malformed JSON: " ^ msg))
+    ready_err ~trace id ~fault:(msg = Jsonl.injected_fault) ("malformed JSON: " ^ msg)
   | Ok req -> (
     let id = Option.value (Jsonl.member "id" req) ~default:Jsonl.Null in
     let trace =
@@ -543,45 +566,41 @@ let plan_line_slow t ~now line =
       | None -> Jsonl.str_member "op" req
     in
     match cmd with
-    | Some "ping" -> Ready (ok_reply ~trace id [ ("pong", Jsonl.Bool true) ])
+    | Some "ping" -> ready_ok ~trace id [ ("pong", Jsonl.Bool true) ]
     | Some "list" ->
-      Ready
-        (ok_reply ~trace id
-           [ ("nfs", Jsonl.Arr (List.map (fun s -> Jsonl.Str s) (corpus_names ()))) ])
+      ready_ok ~trace id [ ("nfs", Jsonl.Arr (List.map (fun s -> Jsonl.Str s) (corpus_names ()))) ]
     | Some "stats" ->
-      Ready
-        (ok_reply ~trace id
-           [ ("served", Jsonl.Num (float_of_int t.served_count));
-             ("cache_hits", Jsonl.Num (float_of_int (Fastpath.Shards.hits t.flows)));
-             ("cache_misses", Jsonl.Num (float_of_int (Fastpath.Shards.misses t.flows)));
-             ("cache_length", Jsonl.Num (float_of_int (Fastpath.Shards.length t.flows)));
-             ("cache_capacity", Jsonl.Num (float_of_int (Fastpath.Shards.capacity t.flows)));
-             ("cache_shards", Jsonl.Num (float_of_int (Fastpath.Shards.shard_count t.flows)));
-             ("cache_installs", Jsonl.Num (float_of_int (Fastpath.Shards.installs t.flows)));
-             ("cache_evictions", Jsonl.Num (float_of_int (Fastpath.Shards.evictions t.flows))) ])
+      ready_ok ~trace id
+        [ ("served", Jsonl.Num (float_of_int t.served_count));
+          ("cache_hits", Jsonl.Num (float_of_int (Fastpath.Shards.hits t.flows)));
+          ("cache_misses", Jsonl.Num (float_of_int (Fastpath.Shards.misses t.flows)));
+          ("cache_length", Jsonl.Num (float_of_int (Fastpath.Shards.length t.flows)));
+          ("cache_capacity", Jsonl.Num (float_of_int (Fastpath.Shards.capacity t.flows)));
+          ("cache_shards", Jsonl.Num (float_of_int (Fastpath.Shards.shard_count t.flows)));
+          ("cache_installs", Jsonl.Num (float_of_int (Fastpath.Shards.installs t.flows)));
+          ("cache_evictions", Jsonl.Num (float_of_int (Fastpath.Shards.evictions t.flows))) ]
     | Some "metrics" ->
       (* Snapshot under the registry locks, render outside them: a slow
          reader never holds the instruments hostage. *)
       Obs.Runtime.sample ();
       let snap = Obs.Metrics.snapshot () in
-      Ready (ok_reply ~trace id [ ("metrics", Jsonl.Str (Obs.Metrics.render_snapshot snap)) ])
+      ready_ok ~trace id [ ("metrics", Jsonl.Str (Obs.Metrics.render_snapshot snap)) ]
     | Some "health" ->
       (* One line of liveness for a fronting router: enough to decide
          membership (draining), attribute replies (version) and manage
          the process (pid) without scraping /metrics. *)
-      Ready
-        (ok_reply ~trace id
-           [ ("version", Jsonl.Str t.version);
-             ("draining", Jsonl.Bool t.drain_requested);
-             ("pid", Jsonl.Num (float_of_int (Unix.getpid ())));
-             ("served", Jsonl.Num (float_of_int t.served_count));
-             ("shed", Jsonl.Num (float_of_int t.shed_count)) ])
-    | Some "reload" -> Ready (reload_reply t ~trace id req)
-    | Some "trace" -> Ready (trace_reply ~trace id req)
+      ready_ok ~trace id
+        [ ("version", Jsonl.Str t.version);
+          ("draining", Jsonl.Bool t.drain_requested);
+          ("pid", Jsonl.Num (float_of_int (Unix.getpid ())));
+          ("served", Jsonl.Num (float_of_int t.served_count));
+          ("shed", Jsonl.Num (float_of_int t.shed_count)) ]
+    | Some "reload" -> reload_reply t ~trace id req
+    | Some "trace" -> trace_reply ~trace id req
     | Some "quality" ->
       (* Drain first so everything offered by earlier lines is visible
          in the same deterministic order it was enqueued. *)
-      Ready (ok_reply ~trace id [ ("quality", Jsonl.Str (quality_json t)) ])
+      ready_ok ~trace id [ ("quality", Jsonl.Str (quality_json t)) ]
     | Some "flight" ->
       (* On-demand snapshot; an optional "dump" member also writes the
          rings as a JSONL dump to that path on the server side. *)
@@ -593,20 +612,17 @@ let plan_line_slow t ~now line =
           | () -> [ ("dumped", Jsonl.Str path) ]
           | exception Sys_error msg -> [ ("dump_error", Jsonl.Str msg) ])
       in
-      Ready
-        (ok_reply ~trace id
-           (("flight", Jsonl.Str (Obs.Flight.to_json_string t.flight)) :: dumped))
+      ready_ok ~trace id (("flight", Jsonl.Str (Obs.Flight.to_json_string t.flight)) :: dumped)
     | Some "profile" ->
-      Ready
-        (ok_reply ~trace id
-           [ ("profile", Jsonl.Str (Obs.Prof.to_json_string ()));
-             ("folded", Jsonl.Str (Obs.Prof.folded ())) ])
+      ready_ok ~trace id
+        [ ("profile", Jsonl.Str (Obs.Prof.to_json_string ()));
+          ("folded", Jsonl.Str (Obs.Prof.folded ())) ]
     | Some "shutdown" ->
       t.stop_requested <- true;
-      Ready (ok_reply ~trace id [ ("stopping", Jsonl.Bool true) ])
+      ready_ok ~trace id [ ("stopping", Jsonl.Bool true) ]
     | Some "analyze" -> plan_analyze t ~now ~trace id req
-    | Some other -> Ready (err_reply ~trace id (Printf.sprintf "unknown cmd %S" other))
-    | None -> Ready (err_reply ~trace id "missing \"cmd\""))
+    | Some other -> ready_err ~trace id (Printf.sprintf "unknown cmd %S" other)
+    | None -> ready_err ~trace id "missing \"cmd\"")
 
 let plan_line t ~now line =
   match fast_track t ~now line with
@@ -615,17 +631,23 @@ let plan_line t ~now line =
 
 (* What one deduplicated analysis job produced.  A report carries the
    raw predictions alongside the rendered text so the flow entry (and
-   shadow evaluation through it) sees them without re-parsing. *)
+   shadow evaluation through it) sees them without re-parsing.  [fault]
+   marks a failure an injected fault raised. *)
 type job_outcome =
   | Report of { text : string; pc : float; pm : float }
-  | Failed of string
+  | Failed of { msg : string; fault : bool }
   | Timed_out
+
+let failed e =
+  Failed
+    { msg = Printexc.to_string e; fault = (match e with Obs.Fault.Injected _ -> true | _ -> false) }
 
 (* Load shedding: a line past the [max_pending] admission bound is
    answered immediately with an explicit retryable [overloaded] error
    (id and trace id still salvaged from the raw text) instead of queuing
-   unbounded work behind the pool. *)
-let shed_reply t line =
+   unbounded work behind the pool.  Returns the line's plan and its
+   answer. *)
+let shed_line t line =
   t.served_count <- t.served_count + 1;
   t.shed_count <- t.shed_count + 1;
   Obs.Metrics.inc m_requests;
@@ -635,18 +657,11 @@ let shed_reply t line =
     | Some (Jsonl.Str s) -> s
     | Some _ | None -> fresh_trace ()
   in
-  err_reply ~overloaded:true ~trace id
-    (Printf.sprintf "overloaded: server admits %d request lines per batch" t.max_pending)
-
-let reply_ok reply =
-  let pat = "\"ok\":" in
-  let n = String.length reply and pn = String.length pat in
-  let rec find i =
-    if i + pn > n then false
-    else if String.sub reply i pn = pat then i + pn < n && reply.[i + pn] = 't'
-    else find (i + 1)
+  let reply =
+    err_reply ~overloaded:true ~trace id
+      (Printf.sprintf "overloaded: server admits %d request lines per batch" t.max_pending)
   in
-  find 0
+  (Ready { reply; trace; outcome = `Overloaded }, (reply, `Overloaded))
 
 let split_at n l =
   let rec go n acc = function
@@ -659,83 +674,43 @@ let split_at n l =
 (* -- flight recording --
 
    Every reply line leaves one postmortem record behind (when the rings
-   are enabled).  Fast-path hits carry their shard/trace out of the
-   scanner, so only the cold routes pay the substring scans below.  The
-   outcome class is read off the rendered bytes — the same bytes the
-   client got — so the record can never disagree with the reply. *)
+   are enabled), its trace id and outcome taken from the plan that
+   produced the reply. *)
 
-let find_sub pat s =
-  let n = String.length s and m = String.length pat in
-  let rec go i = if i + m > n then None else if String.sub s i m = pat then Some i else go (i + 1) in
-  go 0
-
-let contains_sub pat s = find_sub pat s <> None
-
-(* "deadline" and "overloaded" are the machine-actionable flags the reply
-   itself carries; "fault" marks errors produced by an injected fault (an
-   environmental outcome replay cannot and should not reproduce). *)
-let classify_reply reply =
-  if reply_ok reply then "ok"
-  else if contains_sub "\"deadline_exceeded\":true" reply then "deadline"
-  else if contains_sub "\"overloaded\":true" reply then "overloaded"
-  else if contains_sub "injected fault" reply || contains_sub "Fault.Injected" reply then "fault"
-  else "error"
-
-(* The trace id as rendered in the reply (every reply carries one; reports
-   embed quotes only in escaped form, so the first match is the field). *)
-let trace_of_reply reply =
-  let pat = "\"trace_id\":\"" in
-  match find_sub pat reply with
-  | None -> ""
-  | Some i ->
-    let vstart = i + String.length pat in
-    let n = String.length reply in
-    let rec fin j =
-      if j >= n then n else if reply.[j] = '"' && reply.[j - 1] <> '\\' then j else fin (j + 1)
-    in
-    let vend = fin vstart in
-    String.sub reply vstart (vend - vstart)
-
-let record_flight t ~now0 ~lines ~plans ~replies =
+let record_flight t ~now0 ~lines ~plans ~answers =
   if Obs.Flight.enabled t.flight then begin
     let latency_us = (Obs.Clock.now_s () -. now0) *. 1e6 in
-    let rec go lines plans replies =
-      match (lines, plans, replies) with
-      | line :: ls, plan :: ps, reply :: rs ->
-        (match plan with
-        | Fast { shard; trace; _ } ->
-          Obs.Flight.record t.flight ~shard ~trace ~path:"fast" ~latency_us ~outcome:"ok"
-            ~request:line ~reply
-        | Hit { key; trace; _ } ->
-          Obs.Flight.record t.flight ~shard:(Fastpath.Shards.shard_of_key t.flows key)
-            ~trace ~path:"slow" ~latency_us ~outcome:"ok" ~request:line ~reply
-        | Miss { key; trace; _ } ->
-          let outcome = classify_reply reply in
-          if outcome = "deadline" then ignore (Obs.Flight.trigger t.flight "deadline")
-          else if outcome = "fault" then ignore (Obs.Flight.trigger t.flight "fault");
-          Obs.Flight.record t.flight ~shard:(Fastpath.Shards.shard_of_key t.flows key)
-            ~trace ~path:"slow" ~latency_us ~outcome ~request:line ~reply
-        | Ready _ ->
-          let outcome = classify_reply reply in
-          if outcome = "deadline" then ignore (Obs.Flight.trigger t.flight "deadline")
-          else if outcome = "fault" then ignore (Obs.Flight.trigger t.flight "fault");
-          Obs.Flight.record t.flight ~shard:(-1) ~trace:(trace_of_reply reply) ~path:"slow"
-            ~latency_us ~outcome ~request:line ~reply);
+    let rec go lines plans answers =
+      match (lines, plans, answers) with
+      | line :: ls, plan :: ps, (reply, outcome) :: rs ->
+        let shard, trace, path =
+          match plan with
+          | Fast { shard; trace; _ } -> (shard, trace, "fast")
+          | Ready { trace; _ } -> (-1, trace, "slow")
+          | Hit { key; trace; _ } | Miss { key; trace; _ } ->
+            (Fastpath.Shards.shard_of_key t.flows key, trace, "slow")
+        in
+        (match outcome with
+        | `Deadline -> ignore (Obs.Flight.trigger t.flight "deadline")
+        | `Fault -> ignore (Obs.Flight.trigger t.flight "fault")
+        | `Ok | `Error | `Overloaded -> ());
+        Obs.Flight.record t.flight ~shard ~trace ~path ~latency_us
+          ~outcome:(outcome_name outcome) ~request:line ~reply;
         go ls ps rs
       | _ -> ()
     in
-    go lines plans replies
+    go lines plans answers
   end
 
 let process_batch t lines =
   Obs.Span.with_ ~cat:"serve" "serve.batch" @@ fun () ->
   let now0 = Obs.Clock.now_s () in
   let admitted, overflow = split_at t.max_pending lines in
-  let shed_replies = List.map (shed_reply t) overflow in
+  let shed_plans, shed_answers = List.split (List.map (shed_line t) overflow) in
   let n_lines = List.length admitted in
   Obs.Metrics.add_gauge m_in_flight (float_of_int n_lines);
   let batch_traces = ref [] in
-  let admitted_replies =
+  let admitted_answers =
     Fun.protect ~finally:(fun () ->
         (* Replies for a batch are produced together, so each line's wall
            latency is the batch's elapsed time. *)
@@ -805,15 +780,13 @@ let process_batch t lines =
                         { text = Clara.Insights.render ins;
                           pc = ins.Clara.Insights.predicted_compute;
                           pm = ins.Clara.Insights.predicted_memory })
-                with e -> Failed (Printexc.to_string e)
+                with e -> failed e
             in
             (key, outcome))
           jobs
       with
       | results -> results
-      | exception e ->
-        let msg = Printexc.to_string e in
-        List.map (fun (key, _) -> (key, Failed msg)) jobs
+      | exception e -> List.map (fun (key, _) -> (key, failed e)) jobs
     in
     (* Fresh reports become flow entries: reply bytes pre-serialized once,
        installed into the key's shard for every later fast-path probe.
@@ -835,48 +808,40 @@ let process_batch t lines =
     in
     (* Reply assembly is serial and in plan order, so shadow offers made
        here land in the pending queue deterministically. *)
-    let assembled =
+    let answers =
       List.map
         (function
-          | Fast { reply; _ } -> reply
-          | Ready reply -> reply
-        | Hit { id; trace; key; entry } ->
-          if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
-          analyze_reply ~trace id ~cached:true ~path:"slow" entry
+          | Fast { reply; _ } -> (reply, `Ok)
+          | Ready { reply; outcome; _ } -> (reply, outcome)
+          | Hit { id; trace; key; entry } ->
+            if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
+            (analyze_reply ~trace id ~cached:true ~path:"slow" entry, `Ok)
           | Miss { id; trace; key; deadline; _ } -> (
             match List.assoc_opt key results with
             | Some (Report _) ->
-              if expired deadline then deadline_reply ~trace id
+              if expired deadline then (deadline_reply ~trace id, `Deadline)
               else begin
                 let entry = List.assoc key entries in
                 if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
-                analyze_reply ~trace id ~cached:false ~path:"slow" entry
+                (analyze_reply ~trace id ~cached:false ~path:"slow" entry, `Ok)
               end
-            | Some (Failed msg) -> err_reply ~trace id ("analysis failed: " ^ msg)
-            | Some Timed_out | None -> deadline_reply ~trace id))
+            | Some (Failed { msg; fault }) ->
+              (err_reply ~trace id ("analysis failed: " ^ msg), if fault then `Fault else `Error)
+            | Some Timed_out | None -> (deadline_reply ~trace id, `Deadline)))
         plans
     in
-    record_flight t ~now0 ~lines:admitted ~plans ~replies:assembled;
-    assembled
+    record_flight t ~now0 ~lines:admitted ~plans ~answers;
+    answers
   in
   (* Shed lines leave postmortem records too: an overload burst is exactly
      the moment the black box exists for. *)
-  if Obs.Flight.enabled t.flight && overflow <> [] then begin
-    let latency_us = (Obs.Clock.now_s () -. now0) *. 1e6 in
-    List.iter2
-      (fun line reply ->
-        Obs.Flight.record t.flight ~shard:(-1) ~trace:(trace_of_reply reply) ~path:"slow"
-          ~latency_us ~outcome:"overloaded" ~request:line ~reply)
-      overflow shed_replies
-  end;
-  let replies = admitted_replies @ shed_replies in
+  record_flight t ~now0 ~lines:overflow ~plans:shed_plans ~answers:shed_answers;
+  let answers = admitted_answers @ shed_answers in
   (* SLO accounting: every reply line counts availability by its own
-     ["ok"] flag.  The first raw "ok": in the rendered bytes is the
-     flag itself: the only content before it is the id, whose string
-     form is escaped, so a quote-containing id cannot fake a match. *)
+     outcome. *)
   if Quality.enabled t.quality then
-    List.iter (fun reply -> Quality.record_reply t.quality ~ok:(reply_ok reply)) replies;
-  replies
+    List.iter (fun (_, outcome) -> Quality.record_reply t.quality ~ok:(outcome = `Ok)) answers;
+  List.map fst answers
 
 let handle_request t line =
   match process_batch t [ line ] with
@@ -885,118 +850,32 @@ let handle_request t line =
     reply
   | _ -> assert false
 
-(* -- I/O -- *)
-
-(* A peer that vanished mid-conversation is the client's lifecycle, not a
-   server fault: count it, log it at info, move on.  Anything else on a
-   client socket still warns. *)
-let is_disconnect = function Unix.EPIPE | Unix.ECONNRESET -> true | _ -> false
-
-let log_client_disconnect ~fn err =
-  Obs.Metrics.inc m_disconnects;
-  Obs.Log.info
-    ~fields:[ ("error", Obs.Log.Str (Unix.error_message err)); ("fn", Obs.Log.Str fn) ]
-    "serve.client_disconnected"
-
-let really_write fd s =
-  if Obs.Fault.fire "serve.write" then
-    raise (Unix.Unix_error (Unix.EPIPE, "write", "injected fault: serve.write"));
-  let n = String.length s in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-  done
-
-(* Split off the complete lines accumulated in [buf], keeping any trailing
-   partial line buffered. *)
-let take_lines buf =
-  let data = Buffer.contents buf in
-  match String.rindex_opt data '\n' with
-  | None -> []
-  | Some last ->
-    Buffer.clear buf;
-    Buffer.add_substring buf data (last + 1) (String.length data - last - 1);
-    String.split_on_char '\n' (String.sub data 0 last)
-    |> List.filter (fun l -> String.trim l <> "")
-
-let reply_all t fd lines =
-  if lines <> [] then
-    List.iter (fun reply -> really_write fd (reply ^ "\n")) (process_batch t lines)
-
-let serve_until_eof t fd =
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec loop () =
-    let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-    if n = 0 then begin
-      (* peer half-closed: flush any unterminated final line *)
-      let rest = String.trim (Buffer.contents buf) in
-      if rest <> "" then reply_all t fd [ rest ]
-    end
-    else begin
-      Buffer.add_subbytes buf chunk 0 n;
-      reply_all t fd (take_lines buf);
-      loop ()
-    end
-  in
-  try loop ()
-  with Unix.Unix_error (err, fn, _) when is_disconnect err -> log_client_disconnect ~fn err
+(* -- the socket service -- *)
 
 let run t ~socket_path =
-  (if Sys.os_type = "Unix" then
-     try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* SIGTERM requests a graceful drain: stop accepting, answer what is
-     already buffered, log the final counters, exit [run].  The previous
-     handler is restored on the way out so tests can run several servers
-     in one process. *)
-  let old_sigterm =
-    if Sys.os_type = "Unix" then
-      try Some (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_drain t)))
-      with Invalid_argument _ | Sys_error _ -> None
-    else None
-  in
   (* SIGQUIT is the classic black-box trigger: dump the flight rings on
      the next loop turn (EINTR wakes the select) and keep serving. *)
-  let old_sigquit =
-    if Sys.os_type = "Unix" then
-      try
-        Some
-          (Sys.signal Sys.sigquit (Sys.Signal_handle (fun _ -> t.flight_dump_requested <- true)))
-      with Invalid_argument _ | Sys_error _ -> None
-    else None
-  in
-  Fun.protect ~finally:(fun () ->
-      (match old_sigterm with
-      | Some h -> ( try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ())
-      | None -> ());
-      match old_sigquit with
-      | Some h -> ( try Sys.set_signal Sys.sigquit h with Invalid_argument _ | Sys_error _ -> ())
-      | None -> ())
+  let set_sigquit h = try Some (Sys.signal Sys.sigquit h) with Invalid_argument _ | Sys_error _ -> None in
+  let old_sigquit = set_sigquit (Sys.Signal_handle (fun _ -> t.flight_dump_requested <- true)) in
+  Fun.protect ~finally:(fun () -> Option.iter (fun h -> ignore (set_sigquit h)) old_sigquit)
   @@ fun () ->
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listener (Unix.ADDR_UNIX socket_path);
-  Unix.listen listener 16;
-  Obs.Log.info
-    ~fields:
-      [ ("socket", Obs.Log.Str socket_path);
-        ("jobs", Obs.Log.Int (Util.Pool.size ()));
-        ("cache_capacity", Obs.Log.Int (Fastpath.Shards.capacity t.flows));
-        ("cache_shards", Obs.Log.Int (Fastpath.Shards.shard_count t.flows));
-        ("slow_threshold_s", Obs.Log.Num t.slow_s);
-        ( "deadline_ms",
-          match t.deadline_s with
-          | Some s -> Obs.Log.Num (s *. 1000.0)
-          | None -> Obs.Log.Str "none" );
-        ("max_pending", Obs.Log.Int t.max_pending);
-        ("max_clients", Obs.Log.Int t.max_clients);
-        ("shadow_rate", Obs.Log.Num (Quality.rate t.quality));
-        ("tracing", Obs.Log.Bool (Obs.Span.enabled ())) ]
-    "serve.start";
-  let log_unix_error ~ctx err fn =
-    Obs.Log.warn
-      ~fields:[ ("error", Obs.Log.Str (Unix.error_message err)); ("fn", Obs.Log.Str fn) ]
-      ctx
+  let log_start () =
+    Obs.Log.info
+      ~fields:
+        [ ("socket", Obs.Log.Str socket_path);
+          ("jobs", Obs.Log.Int (Util.Pool.size ()));
+          ("cache_capacity", Obs.Log.Int (Fastpath.Shards.capacity t.flows));
+          ("cache_shards", Obs.Log.Int (Fastpath.Shards.shard_count t.flows));
+          ("slow_threshold_s", Obs.Log.Num t.slow_s);
+          ( "deadline_ms",
+            match t.deadline_s with
+            | Some s -> Obs.Log.Num (s *. 1000.0)
+            | None -> Obs.Log.Str "none" );
+          ("max_pending", Obs.Log.Int t.max_pending);
+          ("max_clients", Obs.Log.Int t.max_clients);
+          ("shadow_rate", Obs.Log.Num (Quality.rate t.quality));
+          ("tracing", Obs.Log.Bool (Obs.Span.enabled ())) ]
+      "serve.start"
   in
   (* An error or disconnect while a serve-side fault point is armed is an
      armed-fault hit: ask the black box for a (rate-limited) dump. *)
@@ -1006,60 +885,11 @@ let run t ~socket_path =
       || Obs.Fault.armed "serve.accept"
     then ignore (Obs.Flight.trigger t.flight "fault")
   in
-  let callbacks =
-    { Fastpath.Evloop.on_reject =
-        (fun fd ->
-          (* Connection-level shedding: tell the client it is the load,
-             not the request, then hang up. *)
-          t.shed_count <- t.shed_count + 1;
-          let reply =
-            err_reply ~overloaded:true ~trace:(fresh_trace ()) Jsonl.Null
-              (Printf.sprintf "overloaded: server at its %d-connection limit" t.max_clients)
-          in
-          (try really_write fd (reply ^ "\n") with Unix.Unix_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ()));
-      on_disconnect =
-        (fun ~fn err ->
-          maybe_fault_trigger ();
-          log_client_disconnect ~fn err);
-      on_error =
-        (fun ~ctx ~fn err ->
-          maybe_fault_trigger ();
-          log_unix_error ~ctx err fn)
-    }
-  in
-  let loop = Fastpath.Evloop.create ~listener ~max_clients:t.max_clients callbacks in
-  (* Answer every complete line of a round as one batch, so independent
-     clients share the pool fan-out (and the admission bound applies
-     across them); replies are distributed back per connection and
-     coalesced into one flush. *)
-  let service_round batches =
-    let all_lines = List.concat_map snd batches in
-    if all_lines <> [] then begin
-      let replies = ref (process_batch t all_lines) in
-      List.iter
-        (fun (conn, lines) ->
-          List.iter
-            (fun _ ->
-              match !replies with
-              | reply :: rest ->
-                replies := rest;
-                Fastpath.Evloop.send conn reply
-              | [] -> ())
-            lines)
-        batches;
-      Fastpath.Evloop.flush loop;
-      (* Shadow evaluation runs strictly after the replies left: ground
-         truth is cheap but not free, and the client should not wait
-         on it. *)
-      if Quality.enabled t.quality then drain_quality t
-    end
-  in
-  (* An exception escaping a service round is a server bug: dump the
-     black box (its last records are the requests in flight) before the
-     crash propagates. *)
-  let service batches =
-    try service_round batches
+  (* An exception escaping a batch is a server bug: dump the black box
+     (its last records are the requests in flight) before the crash
+     propagates. *)
+  let batch lines =
+    try process_batch t lines
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       (match Obs.Flight.dump_now t.flight ~trigger:"exception" with
@@ -1074,52 +904,51 @@ let run t ~socket_path =
           "serve.exception");
       Printexc.raise_with_backtrace e bt
   in
-  let flush_flight_dump () =
+  (* Runs after the previous round's replies were flushed: shadow
+     evaluation is cheap but not free, and the client should not wait on
+     it. *)
+  let housekeeping () =
     if t.flight_dump_requested then begin
       t.flight_dump_requested <- false;
       match Obs.Flight.dump_now t.flight ~trigger:"sigquit" with
       | Some path -> Obs.Log.info ~fields:[ ("dump", Obs.Log.Str path) ] "serve.flight_dump"
       | None -> ()
-    end
+    end;
+    if Quality.enabled t.quality then drain_quality t
   in
-  while not (t.stop_requested || t.drain_requested) do
-    flush_flight_dump ();
-    match Fastpath.Evloop.poll loop ~timeout_s:1.0 with
-    (* EINTR: a signal (e.g. SIGTERM / SIGQUIT) interrupted the wait;
-       re-check the flags it may have set. *)
-    | `Eintr -> ()
-    | `Round batches -> service batches
-  done;
-  flush_flight_dump ();
-  (* Graceful drain: the listener goes first, so new connections fail fast
-     while buffered requests still get real answers.  In-flight clients
-     get a short grace window; an idle 50ms round means nothing more is
-     coming and the drain completes early. *)
-  if t.drain_requested && not t.stop_requested then begin
-    Obs.Log.info
-      ~fields:[ ("clients", Obs.Log.Int (Fastpath.Evloop.clients loop)) ]
-      "serve.drain";
-    Fastpath.Evloop.stop_accepting loop;
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-    let drain_until = Obs.Clock.now_s () +. 0.5 in
-    let quiescent = ref false in
-    while
-      (not !quiescent)
-      && (not t.stop_requested)
-      && Fastpath.Evloop.clients loop > 0
-      && Obs.Clock.now_s () < drain_until
-    do
-      match Fastpath.Evloop.poll loop ~timeout_s:0.05 with
-      | `Eintr -> ()
-      | `Round [] ->
-        if not (Fastpath.Evloop.has_pending loop) then quiescent := true
-      | `Round batches -> service batches
-    done
-  end;
-  Fastpath.Evloop.close_all loop;
-  (try Unix.close listener with Unix.Unix_error _ -> ());
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+  Fastpath.Evloop.serve ~socket_path
+    { name = "serve";
+      max_clients = t.max_clients;
+      batch;
+      reject =
+        (fun () ->
+          t.shed_count <- t.shed_count + 1;
+          err_reply ~overloaded:true ~trace:(fresh_trace ()) Jsonl.Null
+            (Printf.sprintf "overloaded: server at its %d-connection limit" t.max_clients));
+      (* A peer that vanished mid-conversation is the client's lifecycle,
+         not a server fault: count it, log it at info, move on.  Anything
+         else on a client socket still warns. *)
+      on_disconnect =
+        (fun ~fn err ->
+          maybe_fault_trigger ();
+          Obs.Metrics.inc m_disconnects;
+          Obs.Log.info
+            ~fields:[ ("error", Obs.Log.Str (Unix.error_message err)); ("fn", Obs.Log.Str fn) ]
+            "serve.client_disconnected");
+      on_error =
+        (fun ~ctx ~fn err ->
+          maybe_fault_trigger ();
+          Obs.Log.warn
+            ~fields:[ ("error", Obs.Log.Str (Unix.error_message err)); ("fn", Obs.Log.Str fn) ]
+            ctx);
+      on_listen = log_start;
+      before_poll = housekeeping;
+      request_drain = (fun () -> request_drain t);
+      phase =
+        (fun () ->
+          if t.stop_requested then `Stop else if t.drain_requested then `Drain else `Serve) };
+  (* the drain rounds, and the last serving round, ran no hook after them *)
+  housekeeping ();
   Obs.Log.info
     ~fields:
       [ ("served", Obs.Log.Int t.served_count);

@@ -296,6 +296,40 @@ let test_shed_records () =
   Alcotest.(check int) "shed lines leave overloaded records" 3 (List.length shed);
   Alcotest.(check int) "admitted lines recorded too" 5 (List.length snap)
 
+(* Records carry the trace id as the client sent it, escapes and all
+   decoded, on every route. *)
+let test_records_keep_raw_trace_ids () =
+  let server =
+    Serve.Server.create ~cache_capacity:16 ~flight_capacity:16 (Lazy.force models)
+  in
+  List.iter
+    (fun l -> ignore (Serve.Server.handle_request server l))
+    [ {|{"id":1,"cmd":"ping","trace_id":"ab\\"}|};
+      {|{"id":2,"cmd":"ping","trace_id":"a\"b"}|};
+      {|{"id":3,"cmd":"frobnicate","trace_id":"c\\"}|} ];
+  let traces =
+    List.map (fun (r : Obs.Flight.record) -> r.Obs.Flight.trace)
+      (Obs.Flight.snapshot (Serve.Server.flight server))
+  in
+  Alcotest.(check (list string)) "raw trace ids" [ "ab\\"; "a\"b"; "c\\" ] traces
+
+(* An analysis an injected fault broke is recorded as environmental. *)
+let test_fault_outcome () =
+  let server =
+    Serve.Server.create ~cache_capacity:16 ~flight_capacity:16 (Lazy.force models)
+  in
+  Obs.Fault.set ~point:"pool.task" ~prob:1.0 ~seed:1;
+  Fun.protect ~finally:(fun () -> Obs.Fault.remove "pool.task") (fun () ->
+      ignore
+        (Serve.Server.handle_request server
+           {|{"id":1,"cmd":"analyze","nf":"tcpack","workload":"mixed"}|}));
+  match Obs.Flight.snapshot (Serve.Server.flight server) with
+  | [ r ] ->
+    Alcotest.(check string) "outcome" "fault" r.Obs.Flight.outcome;
+    Alcotest.(check bool) "counted as a fault trigger" true
+      (List.mem_assoc "fault" (Obs.Flight.triggered (Serve.Server.flight server)))
+  | records -> Alcotest.failf "expected one record, got %d" (List.length records)
+
 let test_flight_socket_command () =
   let server =
     Serve.Server.create ~cache_capacity:16 ~flight_capacity:8 (Lazy.force models)
@@ -367,7 +401,10 @@ let () =
             test_normalize;
           Alcotest.test_case "mixed traffic records, dumps and replays clean" `Slow
             test_server_records_and_replays;
-          Alcotest.test_case "shed lines leave overloaded records" `Slow test_shed_records ] );
+          Alcotest.test_case "shed lines leave overloaded records" `Slow test_shed_records;
+          Alcotest.test_case "records keep raw trace ids" `Quick
+            test_records_keep_raw_trace_ids;
+          Alcotest.test_case "injected faults record a fault outcome" `Quick test_fault_outcome ] );
       ( "server",
         [ Alcotest.test_case "flight/profile socket commands" `Slow test_flight_socket_command;
           Alcotest.test_case "flight_json renders the rings" `Slow test_flight_json_accessor ]

@@ -293,44 +293,6 @@ let test_shedding_beyond_max_pending () =
   Alcotest.(check int) "shed counter" 3 (Serve.Server.shed s);
   Alcotest.(check int) "every line counted as served" 5 (Serve.Server.served s)
 
-(* A client that vanishes mid-reply (EPIPE) is logged at info — not warn,
-   not error — and does not count as a server error. *)
-let test_disconnect_logged_at_info () =
-  let captured = ref [] in
-  Obs.Log.set_sink (Obs.Log.Custom (fun line -> captured := line :: !captured));
-  Fun.protect ~finally:(fun () -> Obs.Log.set_sink Obs.Log.Stderr) @@ fun () ->
-  let errors_before =
-    Obs.Metrics.counter_value (Obs.Metrics.counter "clara_serve_errors_total")
-  in
-  let s = Serve.Server.create ~cache_capacity:8 (Lazy.force models) in
-  let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let req = {|{"id":1,"cmd":"ping"}|} ^ "\n" in
-  ignore (Unix.write_substring client_fd req 0 (String.length req));
-  Unix.shutdown client_fd Unix.SHUTDOWN_SEND;
-  with_fault ~point:"serve.write" ~prob:1.0 (fun () ->
-      (* must return quietly, not raise the injected EPIPE *)
-      Serve.Server.serve_until_eof s server_fd);
-  Unix.close server_fd;
-  Unix.close client_fd;
-  let has_sub sub line =
-    let n = String.length line and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-    go 0
-  in
-  let disconnect_lines = List.filter (has_sub "serve.client_disconnected") !captured in
-  Alcotest.(check bool) "disconnect logged" true (disconnect_lines <> []);
-  List.iter
-    (fun line ->
-      Alcotest.(check bool) "logged at info" true (has_sub {|"level":"info"|} line))
-    disconnect_lines;
-  let errors_after =
-    Obs.Metrics.counter_value (Obs.Metrics.counter "clara_serve_errors_total")
-  in
-  Alcotest.(check (float 0.0)) "no server-error metric for a disconnect" errors_before
-    errors_after
-
-(* -- graceful drain -- *)
-
 let connect_with_retry path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let rec go attempts =
@@ -350,6 +312,53 @@ let client_round path request =
   let line = input_line (Unix.in_channel_of_descr fd) in
   Unix.close fd;
   line
+
+(* A client that vanishes mid-reply (EPIPE) is logged at info — not warn,
+   not error — and does not count as a server error. *)
+let test_disconnect_logged_at_info () =
+  let captured = ref [] in
+  Obs.Log.set_sink (Obs.Log.Custom (fun line -> captured := line :: !captured));
+  Fun.protect ~finally:(fun () -> Obs.Log.set_sink Obs.Log.Stderr) @@ fun () ->
+  let errors_before =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "clara_serve_errors_total")
+  in
+  let s = Serve.Server.create ~cache_capacity:8 (Lazy.force models) in
+  let path = Filename.temp_file "clara_robust_disconnect" ".sock" in
+  Sys.remove path;
+  with_fault ~point:"serve.write" ~prob:1.0 (fun () ->
+      let client =
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:(fun () -> Serve.Server.request_drain s) @@ fun () ->
+            let fd = connect_with_retry path in
+            let req = {|{"id":1,"cmd":"ping"}|} ^ "\n" in
+            ignore (Unix.write_substring fd req 0 (String.length req));
+            Unix.shutdown fd Unix.SHUTDOWN_SEND;
+            (* the reply write fails, so the server hangs up without one *)
+            let buf = Bytes.create 64 in
+            (try ignore (Unix.read fd buf 0 (Bytes.length buf)) with Unix.Unix_error _ -> ());
+            Unix.close fd)
+      in
+      (* must return quietly, not raise the injected EPIPE *)
+      Serve.Server.run s ~socket_path:path;
+      Domain.join client);
+  let has_sub sub line =
+    let n = String.length line and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
+    go 0
+  in
+  let disconnect_lines = List.filter (has_sub "serve.client_disconnected") !captured in
+  Alcotest.(check bool) "disconnect logged" true (disconnect_lines <> []);
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) "logged at info" true (has_sub {|"level":"info"|} line))
+    disconnect_lines;
+  let errors_after =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "clara_serve_errors_total")
+  in
+  Alcotest.(check (float 0.0)) "no server-error metric for a disconnect" errors_before
+    errors_after
+
+(* -- graceful drain -- *)
 
 let test_programmatic_drain () =
   let s = Serve.Server.create ~cache_capacity:8 (Lazy.force models) in

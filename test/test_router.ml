@@ -572,6 +572,85 @@ let test_client_through_router_socket () =
     | _ -> Alcotest.fail "workers missing from health"));
   Serve.Client.close client
 
+(* -- the serving driver's connection limit, on both front ends -- *)
+
+let connect_when_ready path =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when Unix.gettimeofday () < deadline ->
+      Unix.close fd;
+      Unix.sleepf 0.02;
+      go ()
+  in
+  go ()
+
+let read_to_eof fd =
+  let b = Buffer.create 256 and chunk = Bytes.create 256 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents b
+    | n ->
+      Buffer.add_subbytes b chunk 0 n;
+      go ()
+  in
+  go ()
+
+(* A front end at its one-connection limit answers a second client with
+   exactly one typed overloaded line, then hangs up on it.  The router's
+   workers need not exist: the reject happens at accept. *)
+let test_connection_limit () =
+  let server () =
+    let s = Serve.Server.create ~max_clients:1 (tiny_models ()) in
+    ( (fun socket_path -> Serve.Server.run s ~socket_path),
+      (fun () -> Serve.Server.shed s),
+      fun () -> Serve.Server.request_drain s )
+  in
+  let router () =
+    let t =
+      Router.Front.create ~max_clients:1 ~workers:[ ("w0", "/tmp/clara-no-such-socket-0") ] ()
+    in
+    ( (fun socket_path -> Router.Front.run t ~socket_path),
+      (fun () -> Router.Front.shed t),
+      fun () -> Router.Front.request_drain t )
+  in
+  List.iter
+    (fun (name, make) ->
+      let run, shed, drain = make () in
+      let socket_path =
+        Printf.sprintf "%s/clara_limit_%d_%s.sock" (Filename.get_temp_dir_name ())
+          (Unix.getpid ()) name
+      in
+      let serving = Domain.spawn (fun () -> run socket_path) in
+      Fun.protect
+        ~finally:(fun () ->
+          drain ();
+          Domain.join serving)
+        (fun () ->
+          let held = connect_when_ready socket_path in
+          (* one answered line proves the first client was accepted *)
+          let line = {|{"id":1,"cmd":"ping"}|} ^ "\n" in
+          ignore (Unix.write_substring held line 0 (String.length line));
+          ignore (input_line (Unix.in_channel_of_descr held));
+          let shed_before = shed () in
+          let second = connect_when_ready socket_path in
+          let got = read_to_eof second in
+          Unix.close second;
+          (match List.filter (( <> ) "") (String.split_on_char '\n' got) with
+          | [ reply ] ->
+            let r = parse reply in
+            Alcotest.(check bool) (name ^ ": ok false") true
+              (Jsonl.member "ok" r = Some (Jsonl.Bool false));
+            Alcotest.(check bool) (name ^ ": overloaded") true (flagged "overloaded" r)
+          | lines -> Alcotest.failf "%s: want one reject line, got %d" name (List.length lines));
+          Alcotest.(check int) (name ^ ": one shed") (shed_before + 1) (shed ());
+          Unix.close held);
+      Alcotest.(check bool) (name ^ ": socket removed") false (Sys.file_exists socket_path))
+    [ ("server", server); ("router", router) ]
+
 (* -- the front flow cache -- *)
 
 let trace_of reply =
@@ -832,7 +911,9 @@ let () =
             test_dead_worker_is_typed_unavailable;
           Alcotest.test_case "quota shed is typed overloaded" `Quick
             test_quota_shed_is_typed_overloaded;
-          Alcotest.test_case "scan route equals Jsonl route" `Quick test_route_equivalence ] );
+          Alcotest.test_case "scan route equals Jsonl route" `Quick test_route_equivalence;
+          Alcotest.test_case "connection limit on server and router" `Quick
+            test_connection_limit ] );
       ( "topology",
         [ Alcotest.test_case "routed serving and health fan-in" `Quick test_routed_serving;
           Alcotest.test_case "worker-kill failover and re-admission" `Quick
